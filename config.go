@@ -49,8 +49,7 @@ type Config struct {
 	ApplyInterval time.Duration
 	// BatchMaxItems caps the write items coalesced into one replication
 	// batch per destination per ΔR round. 0 selects the default (1024);
-	// negative disables batching and uses the legacy one-message-per-commit-
-	// timestamp wire protocol (the bench harness's before/after baseline).
+	// negative values are rejected.
 	BatchMaxItems int
 	// BatchMaxBytes caps the approximate encoded payload bytes per
 	// replication batch chunk. 0 selects the default (1 MiB).
@@ -103,7 +102,8 @@ type Config struct {
 	PreparedTTL time.Duration
 	// PrepareBatchMax caps how many concurrent outbound prepares to one
 	// cohort coalesce into a single PrepareBatch message (group commit).
-	// 0 selects the default (32); negative disables coalescing.
+	// 0 selects the default (32); 1 disables coalescing; negative values
+	// are rejected.
 	PrepareBatchMax int
 	// ApplyWorkers bounds the goroutines applying one ΔR round's writes to
 	// the local store in parallel. 0 selects the default

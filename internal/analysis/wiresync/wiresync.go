@@ -151,43 +151,27 @@ func typeSwitchCases(pass *analysis.Pass, fd *ast.FuncDecl) (map[string]bool, as
 }
 
 func checkEncoder(pass *analysis.Pass, impls []*types.TypeName) {
-	// The type switch may live in any of the encoder entry points; versioned
-	// codecs typically keep one shared switch in the *V variant and thin
-	// wrappers elsewhere, so probe all candidates and use the first that
-	// actually contains a type switch.
-	for _, name := range []string{"AppendMessageV", "AppendMessage", "EncodeV", "Encode"} {
-		fd := findFunc(pass, name)
-		if fd == nil {
-			continue
-		}
-		cases, site := typeSwitchCases(pass, fd)
-		if site == nil {
-			continue
-		}
-		if missing := missingNames(implNames(impls), cases); len(missing) > 0 {
-			pass.Reportf(site.Pos(), "encoder type switch is missing message types: %s (every wire.Message must be encodable)", strings.Join(missing, ", "))
-		}
+	fd := findFunc(pass, "AppendMessage")
+	if fd == nil {
 		return
+	}
+	cases, site := typeSwitchCases(pass, fd)
+	if site == nil {
+		return
+	}
+	if missing := missingNames(implNames(impls), cases); len(missing) > 0 {
+		pass.Reportf(site.Pos(), "encoder type switch is missing message types: %s (every wire.Message must be encodable)", strings.Join(missing, ", "))
 	}
 }
 
 func checkDecoder(pass *analysis.Pass, kindType *types.Named, kinds []*types.Const) {
-	// Same candidate probing as checkEncoder: the Kind switch may live in
-	// the versioned DecodeV with Decode as a thin wrapper.
-	for _, name := range []string{"DecodeV", "Decode"} {
-		fd := findFunc(pass, name)
-		if fd == nil {
-			continue
-		}
-		if decoderSwitch(pass, fd, kindType, kinds) {
-			return
-		}
+	if fd := findFunc(pass, "Decode"); fd != nil {
+		decoderSwitch(pass, fd, kindType, kinds)
 	}
 }
 
-// decoderSwitch checks fd's Kind-tagged switch against the constant list;
-// it reports false if fd contains no such switch.
-func decoderSwitch(pass *analysis.Pass, fd *ast.FuncDecl, kindType *types.Named, kinds []*types.Const) bool {
+// decoderSwitch checks fd's Kind-tagged switch against the constant list.
+func decoderSwitch(pass *analysis.Pass, fd *ast.FuncDecl, kindType *types.Named, kinds []*types.Const) {
 	have := make(map[string]bool)
 	var site ast.Node
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -214,7 +198,7 @@ func decoderSwitch(pass *analysis.Pass, fd *ast.FuncDecl, kindType *types.Named,
 		return true
 	})
 	if site == nil {
-		return false
+		return
 	}
 	var all []string
 	for _, k := range kinds {
@@ -223,7 +207,6 @@ func decoderSwitch(pass *analysis.Pass, fd *ast.FuncDecl, kindType *types.Named,
 	if missing := missingNames(all, have); len(missing) > 0 {
 		pass.Reportf(site.Pos(), "decoder switch is missing kinds: %s (every Kind constant must be decodable)", strings.Join(missing, ", "))
 	}
-	return true
 }
 
 // checkString verifies the Kind.String name table covers every constant.

@@ -8,5 +8,5 @@ import (
 )
 
 func TestWireSync(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), wiresync.Analyzer, "wirebad", "wiregood", "wiretest", "wirev2")
+	analysistest.Run(t, analysistest.TestData(), wiresync.Analyzer, "wirebad", "wiregood", "wiretest")
 }

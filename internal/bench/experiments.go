@@ -26,8 +26,7 @@ type Options struct {
 	// KeysPerPartition sizes the dataset.
 	KeysPerPartition int
 	// BatchMaxItems and BatchMaxBytes override the replication batching
-	// knobs on every cluster the experiments build (0 = library default,
-	// negative BatchMaxItems disables batching).
+	// knobs on every cluster the experiments build (0 = library default).
 	BatchMaxItems int
 	BatchMaxBytes int
 	// BandwidthBudget and BudgetBurst enable replication flow control on

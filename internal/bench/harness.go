@@ -62,8 +62,8 @@ func (r Result) MsgsPerTx() float64 {
 	return float64(r.Messages) / float64(r.Committed)
 }
 
-// ReplMsgsPerTx is the replication-channel cost of one committed transaction
-// — the figure the batching experiment compares across wire protocols.
+// ReplMsgsPerTx is the replication-channel cost of one committed
+// transaction.
 func (r Result) ReplMsgsPerTx() float64 {
 	if r.Committed == 0 {
 		return 0
@@ -231,7 +231,7 @@ func runTx(ctx context.Context, sess *paris.Session, plan workload.TxPlan) error
 func messageCounters(c *paris.Cluster) (msgs, repl uint64) {
 	msgs = c.Net().MessagesSent()
 	byKind := c.Net().MessagesByKind()
-	repl = byKind[wire.KindReplicate] + byKind[wire.KindReplicateBatch] + byKind[wire.KindHeartbeat]
+	repl = byKind[wire.KindReplicateBatch]
 	return msgs, repl
 }
 

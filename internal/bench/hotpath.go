@@ -389,7 +389,7 @@ func (tc *tcpCluster) messageCounters() (msgs, repl uint64) {
 	for _, n := range nodes {
 		msgs += n.MessagesSent()
 		byKind := n.MessagesByKind()
-		repl += byKind[wire.KindReplicate] + byKind[wire.KindReplicateBatch] + byKind[wire.KindHeartbeat]
+		repl += byKind[wire.KindReplicateBatch]
 	}
 	return msgs, repl
 }

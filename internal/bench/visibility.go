@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/paris-kv/paris"
+	"github.com/paris-kv/paris/internal/hlc"
 	"github.com/paris-kv/paris/internal/transport"
 	"github.com/paris-kv/paris/internal/wire"
 )
@@ -21,8 +22,7 @@ import (
 //   - dedicated stabilization traffic (GSTUp/GSTRoot/USTDown envelopes) on
 //     an idle cluster, where the adaptive plane's suppression and backoff
 //     should collapse the rate, and under load, where it must not;
-//   - the v1→v2 codec size on a busy replication round (varint lengths,
-//     delta-encoded timestamps);
+//   - the encoded size of a busy replication round;
 //   - the largest single ReplSyncResp frame served during a flow-controlled
 //     catch-up, against the configured chunk budget;
 //   - memnet closed-loop scaling (1 thread vs SaturationThreads per DC).
@@ -59,14 +59,10 @@ type VisibilityComparison struct {
 	// IdleReduction is static ÷ delta on the idle cluster — the headline.
 	IdleReduction float64
 
-	// CodecV1Bytes/CodecV2Bytes are the encoded sizes of the same hot-mix
-	// replication round (short keys, 8-byte counter values — the shape
-	// where framing dominates) under each codec version.
-	// CodecV1BulkBytes/CodecV2BulkBytes repeat the comparison on a
-	// bulk-value round (28-byte JSON documents), where the payload dilutes
-	// the framing savings.
-	CodecV1Bytes, CodecV2Bytes         int
-	CodecV1BulkBytes, CodecV2BulkBytes int
+	// CodecBytes is the encoded size of a hot-mix replication round (short
+	// keys, 8-byte counter values — the shape where framing dominates);
+	// CodecBulkBytes that of a bulk-value round (28-byte JSON documents).
+	CodecBytes, CodecBulkBytes int
 
 	// RepairChunkMax is the largest single ReplSyncResp frame served during
 	// the flow-controlled catch-up probe; RepairChunkBudget is the
@@ -165,14 +161,9 @@ func Visibility(o Options) (VisibilityComparison, error) {
 	}
 	cmp.VisTCP = summarizeVis(cmp.TCP.Visibility)
 
-	// Codec size on the same busy ΔR round, both wire versions and both
-	// workload shapes.
-	hot := sampleCounterBatch()
-	cmp.CodecV1Bytes = len(wire.EncodeV(hot, wire.V1))
-	cmp.CodecV2Bytes = len(wire.EncodeV(hot, wire.V2))
-	bulk := sampleReplicateBatch()
-	cmp.CodecV1BulkBytes = len(wire.EncodeV(bulk, wire.V1))
-	cmp.CodecV2BulkBytes = len(wire.EncodeV(bulk, wire.V2))
+	// Codec size of a busy ΔR round, in both workload shapes.
+	cmp.CodecBytes = len(wire.Encode(sampleCounterBatch()))
+	cmp.CodecBulkBytes = len(wire.Encode(sampleReplicateBatch()))
 
 	o.printf("visibility: flow-controlled repair-chunk probe\n")
 	if err := cmp.repairProbe(o); err != nil {
@@ -284,7 +275,7 @@ func (cmp VisibilityComparison) Report(name string) *Report {
 	rep := &Report{
 		Name: name,
 		Desc: "commit→universally-stable latency and stabilization-plane cost: " +
-			"adaptive delta gossip vs fixed-cadence baseline, v2 codec size, repair chunking, memnet scaling",
+			"adaptive delta gossip vs fixed-cadence baseline, codec size, repair chunking, memnet scaling",
 		Rows: []ReportRow{
 			RowFromResult("memnet-delta", cmp.Delta),
 			RowFromResult("memnet-static", cmp.Static),
@@ -307,12 +298,10 @@ func (cmp VisibilityComparison) Report(name string) *Report {
 			"gossip_idle_msgs_per_sec_static":   cmp.IdleGossipStatic,
 			"gossip_idle_reduction":             cmp.IdleReduction,
 
-			"codec_bytes_per_round_v1":   float64(cmp.CodecV1Bytes),
-			"codec_bytes_per_round_v2":   float64(cmp.CodecV2Bytes),
-			"codec_bytes_reduction":      1 - float64(cmp.CodecV2Bytes)/float64(cmp.CodecV1Bytes),
-			"codec_bulk_bytes_v1":        float64(cmp.CodecV1BulkBytes),
-			"codec_bulk_bytes_v2":        float64(cmp.CodecV2BulkBytes),
-			"codec_bulk_bytes_reduction": 1 - float64(cmp.CodecV2BulkBytes)/float64(cmp.CodecV1BulkBytes),
+			// The _v2 suffix keeps the names comparable with earlier
+			// reports, which measured two codec versions.
+			"codec_bytes_per_round_v2": float64(cmp.CodecBytes),
+			"codec_bulk_bytes_v2":      float64(cmp.CodecBulkBytes),
 
 			"repair_chunks_served":      float64(cmp.RepairChunks),
 			"repair_chunk_max_bytes":    float64(cmp.RepairChunkMax),
@@ -324,4 +313,46 @@ func (cmp VisibilityComparison) Report(name string) *Report {
 		},
 	}
 	return rep
+}
+
+// sampleReplicateBatch mirrors a busy ΔR round: 8 commit-timestamp groups of
+// 4 single-partition transactions with 2 writes each.
+func sampleReplicateBatch() wire.ReplicateBatch {
+	batch := wire.ReplicateBatch{SrcDC: 1, UpTo: 10_000}
+	for g := 0; g < 8; g++ {
+		grp := wire.ReplicateGroup{CT: hlc.Timestamp(1000 + 10*g)}
+		for t := 0; t < 4; t++ {
+			tx := wire.TxUpdates{TxID: wire.TxID(g*4 + t), SrcDC: 1}
+			for w := 0; w < 2; w++ {
+				tx.Writes = append(tx.Writes, wire.KV{
+					Key:   "warehouse:stock:item-00042",
+					Value: []byte(`{"qty":17,"updated_by":"tx"}`),
+				})
+			}
+			grp.Txns = append(grp.Txns, tx)
+		}
+		batch.Groups = append(batch.Groups, grp)
+	}
+	return batch
+}
+
+// sampleCounterBatch mirrors a hot-mix ΔR round: dense commit timestamps,
+// sequential TxIDs, short keys, and 8-byte counter values — the shape where
+// per-write framing dominates the frame.
+func sampleCounterBatch() wire.ReplicateBatch {
+	batch := wire.ReplicateBatch{SrcDC: 2, Epoch: 7, Seq: 12345, UpTo: hlc.New(5000, 0)}
+	for g := 0; g < 32; g++ {
+		grp := wire.ReplicateGroup{CT: hlc.New(uint64(4000+g), uint16(g))}
+		for t := 0; t < 4; t++ {
+			grp.Txns = append(grp.Txns, wire.TxUpdates{
+				TxID:  wire.NewTxID(2, 7, uint64(100_000+g*4+t)),
+				SrcDC: 2,
+				Writes: []wire.KV{
+					{Key: "user:12345678", Value: []byte("12345678")},
+				},
+			})
+		}
+		batch.Groups = append(batch.Groups, grp)
+	}
+	return batch
 }

@@ -101,86 +101,48 @@ func (s *Server) applyTick() {
 
 	s.notifyInstalled(s.installedLowerBound())
 
-	if s.cfg.BatchMaxItems < 0 {
-		s.replicateUnbatched(ready, ub, peers)
+	// The round's commit-timestamp groups plus its heartbeat coalesce into
+	// (usually) one ReplicateBatch per destination — one wire write per peer
+	// per ΔR instead of one per commit timestamp.
+	chunks, sizes := buildReplicateBatches(s.self.DC, ready, ub, s.cfg.BatchMaxItems, s.cfg.BatchMaxBytes)
+	if s.flow != nil {
+		// Flow-controlled path: hand the round to each destination's
+		// pump, which owns sequencing, pacing, coalescing and repair
+		// service for that peer (flowpump.go). The builder's per-chunk
+		// sizes ride along so the pumps never re-walk the payload.
+		for _, peer := range peers {
+			if p := s.flow.pumps[peer]; p != nil {
+				p.submit(chunks, sizes, ub)
+			}
+		}
 	} else {
-		// Batched pipeline: the round's commit-timestamp groups plus its
-		// heartbeat coalesce into (usually) one ReplicateBatch per
-		// destination — one wire write per peer per ΔR instead of one per
-		// commit timestamp.
-		chunks, sizes := buildReplicateBatches(s.self.DC, ready, ub, s.cfg.BatchMaxItems, s.cfg.BatchMaxBytes)
-		if s.flow != nil {
-			// Flow-controlled path: hand the round to each destination's
-			// pump, which owns sequencing, pacing, coalescing and repair
-			// service for that peer (flowpump.go). The builder's per-chunk
-			// sizes ride along so the pumps never re-walk the payload.
-			for _, peer := range peers {
-				if p := s.flow.pumps[peer]; p != nil {
-					p.submit(chunks, sizes, ub)
-				}
+		// Piggyback the current stable values on the round's chunks:
+		// receivers adopt them without waiting for the down-tree gossip.
+		ust, sold := s.ust.Load(), s.sold.Load()
+		out := make([]wire.Message, len(chunks))
+		for _, peer := range peers {
+			// Answer any pending repair request from this peer's DC
+			// first: the response names the sequence the stream resumes
+			// at, and on the FIFO link it precedes the chunk carrying
+			// that sequence.
+			s.maybeReplSync(peer, ub)
+			for i, c := range chunks {
+				b := c.(wire.ReplicateBatch)
+				s.replSeq[peer]++
+				b.Epoch, b.Seq = s.replEpoch, s.replSeq[peer]
+				b.UST, b.Sold = ust, sold
+				out[i] = b
 			}
-		} else {
-			// Piggyback the current stable values on the round's chunks:
-			// receivers adopt them without waiting for the down-tree gossip.
-			ust, sold := s.ust.Load(), s.sold.Load()
-			out := make([]wire.Message, len(chunks))
-			for _, peer := range peers {
-				// Answer any pending repair request from this peer's DC
-				// first: the response names the sequence the stream resumes
-				// at, and on the FIFO link it precedes the chunk carrying
-				// that sequence.
-				s.maybeReplSync(peer, ub)
-				for i, c := range chunks {
-					b := c.(wire.ReplicateBatch)
-					s.replSeq[peer]++
-					b.Epoch, b.Seq = s.replEpoch, s.replSeq[peer]
-					b.UST, b.Sold = ust, sold
-					out[i] = b
-				}
-				_ = s.peer.CastBatch(peer, out)
-			}
+			_ = s.peer.CastBatch(peer, out)
 		}
-		if len(ready) > 0 {
-			s.metrics.txApplied.Add(uint64(len(ready)))
-		}
+	}
+	if len(ready) > 0 {
+		s.metrics.txApplied.Add(uint64(len(ready)))
 	}
 	// Recycle the drain scratch; the outbound messages hold their own
 	// references to the write-sets, so clearing only drops this loop's.
 	clear(ready)
 	s.applyReady = ready[:0]
-}
-
-// replicateUnbatched is the legacy wire path (one Replicate per distinct
-// commit timestamp, a Heartbeat when idle), kept for mixed-version peers and
-// for the bench harness's batched-versus-unbatched comparison.
-func (s *Server) replicateUnbatched(ready []committedTx, ub hlc.Timestamp, peers []topology.NodeID) {
-	if len(ready) == 0 {
-		hb := wire.Heartbeat{SrcDC: s.self.DC, TS: ub}
-		for _, peer := range peers {
-			_ = s.peer.Cast(peer, hb)
-		}
-		return
-	}
-	for start := 0; start < len(ready); {
-		end := start
-		for end < len(ready) && ready[end].ct == ready[start].ct {
-			end++
-		}
-		group := wire.Replicate{SrcDC: s.self.DC, CT: ready[start].ct}
-		group.Txns = make([]wire.TxUpdates, 0, end-start)
-		for _, c := range ready[start:end] {
-			group.Txns = append(group.Txns, wire.TxUpdates{
-				TxID:   c.id,
-				SrcDC:  c.srcDC,
-				Writes: c.writes,
-			})
-		}
-		for _, peer := range peers {
-			_ = s.peer.Cast(peer, group)
-		}
-		start = end
-	}
-	s.metrics.txApplied.Add(uint64(len(ready)))
 }
 
 // buildReplicateBatches coalesces one ΔR round (ready, sorted by commit
@@ -254,46 +216,12 @@ func buildReplicateBatches(src topology.DCID, ready []committedTx, ub hlc.Timest
 // the builder's running byte count reproduces the estimate exactly (the base
 // is emptyBatchSize in flowpump.go).
 const (
-	replGroupHeadSize = 16 + 4    // CT, txn count
-	replTxnHeadSize   = 8 + 4 + 4 // TxID, SrcDC, write count
-	replWriteHeadSize = 4 + 4     // key/value length prefixes
+	replGroupHeadSize = 4 + 1     // CT delta, txn count
+	replTxnHeadSize   = 2 + 1 + 1 // TxID delta, SrcDC, write count
+	replWriteHeadSize = 1 + 1     // key/value length prefixes
 )
 
-// applyTx writes one committed transaction's updates into the store
-// (Alg. 4 update()) and samples them for visibility tracking.
-func (s *Server) applyTx(c committedTx) {
-	for _, kv := range c.writes {
-		s.store.Apply(wire.Item{
-			Key:   kv.Key,
-			Value: kv.Value,
-			UT:    c.ct,
-			TxID:  c.id,
-			SrcDC: c.srcDC,
-		})
-	}
-	if s.vis != nil {
-		s.vis.recordCommit(c.ct)
-	}
-}
-
-// handleReplicate implements Alg. 4 lines 23–30: apply the group's updates
-// and advance the version-vector entry of the source replica to the group's
-// commit timestamp.
-func (s *Server) handleReplicate(m wire.Replicate) {
-	for _, tx := range m.Txns {
-		s.applyTx(committedTx{id: tx.TxID, ct: m.CT, srcDC: tx.SrcDC, writes: tx.Writes})
-	}
-	// Couple the hybrid clocks of replicas (receive rule); not required for
-	// safety — LWW tolerates clock divergence — but keeps snapshot freshness
-	// uniform across DCs.
-	s.clock.Observe(m.CT)
-	s.advanceVV(m.SrcDC, m.CT)
-
-	s.notifyInstalled(s.installedLowerBound())
-	s.metrics.replGroups.Add(1)
-}
-
-// handleReplicateBatch is the batched receive path: it applies every group
+// handleReplicateBatch implements Alg. 4 lines 23–33: it applies every group
 // of the chunk in a single store pass (one shard-lock acquisition per shard
 // instead of one per item) and then advances the sender's version-vector
 // entry to UpTo — the chunk's heartbeat, covering the groups and any idle
@@ -340,19 +268,15 @@ func (s *Server) handleReplicateBatch(m wire.ReplicateBatch) {
 			}
 		}
 	}
-	// Couple the replica clocks as the legacy path does (receive rule).
+	// Couple the hybrid clocks of replicas (receive rule); not required for
+	// safety — LWW tolerates clock divergence — but keeps snapshot freshness
+	// uniform across DCs.
 	s.clock.Observe(m.UpTo)
 	s.advanceVV(m.SrcDC, m.UpTo)
 
 	s.notifyInstalled(s.installedLowerBound())
 	s.metrics.replBatches.Add(1)
 	s.metrics.replGroups.Add(uint64(len(m.Groups)))
-}
-
-// handleHeartbeat implements Alg. 4 lines 31–33.
-func (s *Server) handleHeartbeat(m wire.Heartbeat) {
-	s.advanceVV(m.SrcDC, m.TS)
-	s.notifyInstalled(s.installedLowerBound())
 }
 
 // advanceVV moves a version-vector entry forward; entries never regress

@@ -4,8 +4,30 @@ import (
 	"testing"
 
 	"github.com/paris-kv/paris/internal/hlc"
+	"github.com/paris-kv/paris/internal/topology"
 	"github.com/paris-kv/paris/internal/wire"
 )
+
+// testEpoch is the stream epoch deliver stamps on a source's first chunk.
+const testEpoch = 1
+
+// deliver hands b to s as the next in-order chunk of its source DC's
+// replication stream, stamping the epoch and sequence a live sender would.
+func deliver(s *Server, b wire.ReplicateBatch) {
+	st := &s.replIn[b.SrcDC]
+	st.mu.Lock()
+	b.Epoch, b.Seq = st.epoch, st.nextSeq
+	st.mu.Unlock()
+	if b.Epoch == 0 {
+		b.Epoch, b.Seq = testEpoch, 1
+	}
+	s.handleReplicateBatch(b)
+}
+
+// heartbeat delivers an empty chunk advancing dc's vector entry to ts.
+func heartbeat(s *Server, dc topology.DCID, ts hlc.Timestamp) {
+	deliver(s, wire.ReplicateBatch{SrcDC: dc, UpTo: ts})
+}
 
 func TestReplicateBatchAppliesAndAdvancesVV(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
@@ -24,7 +46,7 @@ func TestReplicateBatchAppliesAndAdvancesVV(t *testing.T) {
 			}},
 		},
 	}
-	s.handleReplicateBatch(batch)
+	deliver(s, batch)
 
 	item, ok := s.Store().Read("r", hlc.MaxTimestamp)
 	if !ok || string(item.Value) != "newer" || item.SrcDC != 1 {
@@ -38,8 +60,9 @@ func TestReplicateBatchAppliesAndAdvancesVV(t *testing.T) {
 		t.Fatalf("VV[1] = %v, want 2500.0", got)
 	}
 
-	// Duplicate delivery is idempotent.
-	s.handleReplicateBatch(batch)
+	// Redelivered content (a later chunk overlapping this one, as a repair
+	// may) is idempotent.
+	deliver(s, batch)
 	if n := s.Store().VersionCount("r"); n != 2 {
 		t.Fatalf("duplicate batch changed chain length: %d versions, want 2", n)
 	}
@@ -54,14 +77,34 @@ func TestReplicateBatchAppliesAndAdvancesVV(t *testing.T) {
 func TestReplicateBatchEmptyActsAsHeartbeat(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
-	s.handleReplicateBatch(wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(3000, 0)})
+	heartbeat(s, 1, hlc.New(3000, 0))
 	if got := s.VersionVector()[1]; got != hlc.New(3000, 0) {
 		t.Fatalf("VV[1] = %v, want 3000.0", got)
 	}
-	// Regressions are ignored, exactly like legacy heartbeats.
-	s.handleReplicateBatch(wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(2000, 0)})
+	// Regressions are ignored.
+	heartbeat(s, 1, hlc.New(2000, 0))
 	if got := s.VersionVector()[1]; got != hlc.New(3000, 0) {
 		t.Fatalf("VV regressed to %v", got)
+	}
+}
+
+// TestUnsequencedBatchDropped: every sender stamps a nonzero epoch, so an
+// epoch-0 chunk is outside input; applying it could move the vector entry
+// past a hole in the stream. It must be dropped without touching the store
+// or the version vector.
+func TestUnsequencedBatchDropped(t *testing.T) {
+	rig := newTestRig(t, ModeNonBlocking)
+	s := rig.srv
+	before := s.VersionVector()
+	s.handleReplicateBatch(wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(4000, 0),
+		Groups: []wire.ReplicateGroup{{CT: hlc.New(3900, 0), Txns: []wire.TxUpdates{
+			{TxID: 5, SrcDC: 1, Writes: []wire.KV{{Key: "u", Value: []byte("x")}}},
+		}}}})
+	if after := s.VersionVector(); after[1] != before[1] {
+		t.Fatalf("epoch-0 chunk moved VV[1] from %v to %v", before[1], after[1])
+	}
+	if _, ok := s.Store().Read("u", hlc.MaxTimestamp); ok {
+		t.Fatal("epoch-0 chunk was applied")
 	}
 }
 

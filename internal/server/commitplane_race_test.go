@@ -71,7 +71,7 @@ func TestCommitPlaneParallelApplyStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			s.handleHeartbeat(wire.Heartbeat{SrcDC: remote, TS: s.clock.Now()})
+			heartbeat(s, remote, s.clock.Now())
 		}
 	}()
 

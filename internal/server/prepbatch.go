@@ -57,15 +57,9 @@ func (b *prepareBatcher) init(s *Server) {
 }
 
 // call sends one prepare to node through the coalescer and waits for its
-// outcome. With batching disabled (PrepareBatchMax < 0) it degenerates to a
-// direct peer call.
+// outcome.
 func (b *prepareBatcher) call(node topology.NodeID, req wire.PrepareReq) (wire.Message, error) {
 	s := b.s
-	if s.cfg.PrepareBatchMax < 0 {
-		cctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-		defer cancel()
-		return s.peer.Call(cctx, node, req)
-	}
 	pp := &pendingPrepare{req: req, done: make(chan prepareReply, 1)}
 	b.mu.Lock()
 	if b.stopping {
@@ -147,8 +141,8 @@ func (b *prepareBatcher) pump(node topology.NodeID, d *prepareDest) {
 }
 
 // send performs one wire call for a batch and distributes the per-prepare
-// outcomes. A single-entry batch travels as a plain PrepareReq so the quiet
-// path is byte-identical to the unbatched protocol (and old peers interop).
+// outcomes. A single-entry batch travels as a plain PrepareReq, so an
+// uncontended prepare costs no batch framing.
 func (b *prepareBatcher) send(node topology.NodeID, batch []*pendingPrepare) {
 	s := b.s
 	cctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)

@@ -94,69 +94,6 @@ func TestPrepareBatcherCoalesces(t *testing.T) {
 	}
 }
 
-// TestPrepareBatcherDisabled pins the negative-knob contract: with
-// PrepareBatchMax < 0 every prepare is a direct call and no batch metrics
-// move.
-func TestPrepareBatcherDisabled(t *testing.T) {
-	topo, err := topology.New(3, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewMemNet(nil)
-	defer func() { _ = net.Close() }()
-
-	coord, err := New(Config{ID: topology.ServerID(0, 0), Topology: topo,
-		Mode: ModeNonBlocking, Clock: clock.NewManual(1000), PrepareBatchMax: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := net.Register(coord.self, coord.Peer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.Peer().Attach(ep)
-	t.Cleanup(coord.Stop)
-
-	cohortID := topology.ServerID(1, 1)
-	cohort, err := New(Config{ID: cohortID, Topology: topo,
-		Mode: ModeNonBlocking, Clock: clock.NewManual(1000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cep, err := net.Register(cohortID, cohort.Peer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cohort.Peer().Attach(cep)
-	t.Cleanup(cohort.Stop)
-
-	key := keysOn(t, topo, topology.PartitionID(1), 1)[0]
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			id := wire.NewTxID(coord.self.DC, coord.self.Partition(), uint64(i+1))
-			resp, err := coord.prepBatch.call(cohortID, wire.PrepareReq{
-				TxID: id, HT: coord.clock.Now(),
-				Writes: []wire.KV{{Key: key, Value: []byte("v")}},
-			})
-			if err != nil {
-				t.Errorf("prepare %d: %v", i, err)
-				return
-			}
-			if _, ok := resp.(wire.PrepareResp); !ok {
-				t.Errorf("prepare %d answered %#v", i, resp)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	if m := coord.Metrics(); m.PrepareBatches != 0 || m.PrepareBatchedReqs != 0 {
-		t.Fatalf("batch metrics moved with batching disabled: %+v", m)
-	}
-}
-
 // shortBatchCohort answers every PrepareBatch with a single-entry response
 // regardless of how many prepares the batch carried — the malformed-peer
 // shape the batcher must treat as a failed batch.

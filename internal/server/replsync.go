@@ -47,9 +47,7 @@ const replSyncBackoffCap = 2 * time.Second
 //
 // Requests are retried (paced by replSyncRetry) as long as mismatching
 // chunks keep arriving, so a repair request lost to the same fault that
-// caused the hole heals once the link does. The legacy unbatched wire path
-// (BatchMaxItems < 0) predates sequencing and keeps its fire-and-forget
-// semantics.
+// caused the hole heals once the link does.
 
 // replInStream is the receiver-side cursor for one source DC's stream. An
 // epoch of zero means no sender incarnation has been latched yet.
@@ -74,10 +72,9 @@ func (s *Server) replInAccept(m wire.ReplicateBatch) bool {
 		return false
 	}
 	if m.Epoch == 0 {
-		// Unsequenced batch — a pre-sequencing sender or a hand-built test
-		// message. Apply it without moving the stream cursor; live senders
-		// always stamp a nonzero epoch.
-		return true
+		// Every sender stamps a nonzero epoch; an unsequenced chunk could
+		// move the vector entry past a hole, so it is dropped.
+		return false
 	}
 	st := &s.replIn[m.SrcDC]
 	st.mu.Lock()
@@ -245,8 +242,8 @@ func (s *Server) buildRepairChunks(items []wire.Item, nextSeq uint64, ub hlc.Tim
 }
 
 // repairItemHeadSize is wire.ApproxSize's per-item framing for ReplSyncResp
-// (length prefixes, UT, TxID, SrcDC).
-const repairItemHeadSize = 4 + 4 + 16 + 8 + 4
+// (length prefixes, UT delta, TxID delta, SrcDC).
+const repairItemHeadSize = 1 + 1 + 4 + 2 + 1
 
 // handleReplSyncResp installs a repair: apply the missing versions, thaw
 // the stream at the sender-designated position, and only then republish the

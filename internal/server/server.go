@@ -73,10 +73,8 @@ type Config struct {
 	// ApplyInterval is ΔR: the cadence of the apply/replicate loop.
 	ApplyInterval time.Duration
 	// BatchMaxItems caps the write items coalesced into one ReplicateBatch
-	// chunk per destination per ΔR round. 0 selects the default (1024); a
-	// negative value disables batching entirely and falls back to the legacy
-	// per-commit-timestamp Replicate and Heartbeat messages (the bench
-	// harness uses this for before/after comparisons).
+	// chunk per destination per ΔR round. 0 selects the default (1024);
+	// negative values are rejected.
 	BatchMaxItems int
 	// BatchMaxBytes caps the approximate encoded payload bytes per chunk.
 	// 0 selects the default (1 MiB). A single group larger than either cap
@@ -89,7 +87,6 @@ type Config struct {
 	// destination whose queue crosses the bound degrades to
 	// summary/heartbeat-only mode until it drains below FlowLowWater.
 	// 0 disables flow control entirely (unbounded fire-and-forget sends).
-	// Only effective on the batched pipeline (BatchMaxItems >= 0).
 	BandwidthBudget int
 	// BudgetBurst is the token bucket's burst capacity in bytes.
 	// 0 selects BandwidthBudget/4, floored at 4 KiB.
@@ -107,8 +104,8 @@ type Config struct {
 	// destination cohort are coalesced into a single PrepareBatch wire
 	// message (group commit for the prepare fan-out, amortizing per-message
 	// framing the way the replication pipeline does for writes). 0 selects
-	// the default (32); a negative value disables coalescing and sends every
-	// prepare as its own PrepareReq.
+	// the default (32); 1 sends every prepare as its own PrepareReq.
+	// Negative values are rejected.
 	PrepareBatchMax int
 	// ApplyWorkers is the number of store-apply worker goroutines a ΔR round
 	// fans out to; the round's version-clock publication waits for all of
@@ -211,6 +208,12 @@ func (c *Config) withDefaults() (Config, error) {
 	if !cfg.Topology.IsReplicatedAt(cfg.ID.Partition(), cfg.ID.DC) {
 		return cfg, fmt.Errorf("server: DC %d does not replicate partition %d",
 			cfg.ID.DC, cfg.ID.Partition())
+	}
+	if cfg.BatchMaxItems < 0 {
+		return cfg, fmt.Errorf("server: BatchMaxItems %d is negative", cfg.BatchMaxItems)
+	}
+	if cfg.PrepareBatchMax < 0 {
+		return cfg, fmt.Errorf("server: PrepareBatchMax %d is negative", cfg.PrepareBatchMax)
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeNonBlocking
@@ -411,7 +414,7 @@ type Server struct {
 	replSyncRetry time.Duration
 
 	// flow is the replication flow-control layer (flowpump.go); nil when
-	// Config.BandwidthBudget is 0 or the pipeline is unbatched.
+	// Config.BandwidthBudget is 0.
 	flow *flowControl
 
 	// recovered2PC is set when Config.Recovered2PC seeded prepared entries;
@@ -477,7 +480,7 @@ func New(cfg Config) (*Server, error) {
 	if full.Recovered2PC != nil {
 		s.importTwoPC(full.Recovered2PC)
 	}
-	if full.BandwidthBudget > 0 && full.BatchMaxItems >= 0 {
+	if full.BandwidthBudget > 0 {
 		s.flow = newFlowControl(s)
 	}
 	s.peer = transport.NewPeer(full.ID, s)
@@ -679,12 +682,8 @@ func (s *Server) HandleCast(from topology.NodeID, msg wire.Message) {
 		s.handleCohortCommit(m)
 	case wire.AbortTx:
 		s.handleAbortTx(m)
-	case wire.Replicate:
-		s.handleReplicate(m)
 	case wire.ReplicateBatch:
 		s.handleReplicateBatch(m)
-	case wire.Heartbeat:
-		s.handleHeartbeat(m)
 	case wire.ReplSyncReq:
 		s.handleReplSyncReq(m)
 	case wire.ReplSyncResp:

@@ -128,6 +128,8 @@ func TestConfigValidation(t *testing.T) {
 		{"nil topology", Config{ID: topology.ServerID(0, 0)}},
 		{"client identity", Config{ID: topology.ClientID(0, 0), Topology: topo}},
 		{"not replicated here", Config{ID: topology.ServerID(2, 0), Topology: topo}},
+		{"negative BatchMaxItems", Config{ID: topology.ServerID(0, 0), Topology: topo, BatchMaxItems: -1}},
+		{"negative PrepareBatchMax", Config{ID: topology.ServerID(0, 0), Topology: topo, PrepareBatchMax: -1}},
 	}
 	for _, c := range cases {
 		if _, err := New(c.cfg); err == nil {
@@ -316,43 +318,17 @@ func TestHeartbeatWhenIdle(t *testing.T) {
 	}
 }
 
-func TestUnbatchedLegacyReplicationPath(t *testing.T) {
-	// BatchMaxItems < 0 restores the seed wire protocol: one Replicate per
-	// commit timestamp, Heartbeat when idle.
-	unbatched := func(c *Config) { c.BatchMaxItems = -1 }
-	rig := newTestRig(t, ModeNonBlocking, unbatched)
-	s := rig.srv
-	peer := rig.peers[topology.ServerID(1, 0)]
-
-	s.applyTick()
-	hbs := peer.waitKind(t, wire.KindHeartbeat, 1)
-	if hb := hbs[0].(wire.Heartbeat); hb.TS == 0 || hb.SrcDC != 0 {
-		t.Fatalf("bad legacy heartbeat %+v", hb)
-	}
-
-	p := s.handlePrepare(wire.PrepareReq{TxID: 1, HT: 0,
-		Writes: []wire.KV{{Key: "k", Value: []byte("v")}}}).(wire.PrepareResp)
-	s.handleCohortCommit(wire.CohortCommit{TxID: 1, CommitTS: p.Proposed})
-	s.applyTick()
-	reps := peer.waitKind(t, wire.KindReplicate, 1)
-	if rep := reps[0].(wire.Replicate); len(rep.Txns) != 1 || rep.CT != p.Proposed {
-		t.Fatalf("bad legacy replicate %+v", rep)
-	}
-	if got := peer.byKind(wire.KindReplicateBatch); len(got) != 0 {
-		t.Fatalf("legacy path emitted %d ReplicateBatch messages", len(got))
-	}
-}
-
 func TestReplicateAppliesAndAdvancesVV(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
 
-	rep := wire.Replicate{
-		SrcDC: 1, CT: hlc.New(2000, 0),
-		Txns: []wire.TxUpdates{{TxID: 77, SrcDC: 1,
-			Writes: []wire.KV{{Key: "r", Value: []byte("remote")}}}},
+	rep := wire.ReplicateBatch{
+		SrcDC: 1, UpTo: hlc.New(2000, 0),
+		Groups: []wire.ReplicateGroup{{CT: hlc.New(2000, 0), Txns: []wire.TxUpdates{
+			{TxID: 77, SrcDC: 1, Writes: []wire.KV{{Key: "r", Value: []byte("remote")}}},
+		}}},
 	}
-	s.handleReplicate(rep)
+	deliver(s, rep)
 	item, ok := s.Store().Read("r", hlc.MaxTimestamp)
 	if !ok || string(item.Value) != "remote" || item.SrcDC != 1 {
 		t.Fatalf("remote update not applied: %+v %v", item, ok)
@@ -360,8 +336,11 @@ func TestReplicateAppliesAndAdvancesVV(t *testing.T) {
 	if got := s.VersionVector()[1]; got != hlc.New(2000, 0) {
 		t.Fatalf("VV[1] = %v, want 2000.0", got)
 	}
-	// Duplicate delivery is idempotent.
-	s.handleReplicate(rep)
+	// Duplicate delivery is idempotent, whether the stream drops the
+	// repeated chunk or a later chunk carries the same writes again.
+	rep.Epoch, rep.Seq = testEpoch, 1
+	s.handleReplicateBatch(rep)
+	deliver(s, rep)
 	if n := s.Store().VersionCount("r"); n != 1 {
 		t.Fatalf("duplicate replicate created %d versions", n)
 	}
@@ -370,13 +349,13 @@ func TestReplicateAppliesAndAdvancesVV(t *testing.T) {
 func TestHeartbeatNeverRegressesVV(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
-	s.handleHeartbeat(wire.Heartbeat{SrcDC: 1, TS: hlc.New(3000, 0)})
-	s.handleHeartbeat(wire.Heartbeat{SrcDC: 1, TS: hlc.New(2000, 0)})
+	heartbeat(s, 1, hlc.New(3000, 0))
+	heartbeat(s, 1, hlc.New(2000, 0))
 	if got := s.VersionVector()[1]; got != hlc.New(3000, 0) {
 		t.Fatalf("VV regressed to %v", got)
 	}
 	// Unknown DCs (not replicas of this partition) are ignored.
-	s.handleHeartbeat(wire.Heartbeat{SrcDC: 2, TS: hlc.New(9000, 0)})
+	heartbeat(s, 2, hlc.New(9000, 0))
 	if _, ok := s.VersionVector()[2]; ok {
 		t.Fatal("VV grew an entry for a non-replica DC")
 	}
@@ -415,7 +394,7 @@ func TestBlockingReadWaitsForInstallation(t *testing.T) {
 	}
 
 	// Install the snapshot: remote heartbeat + local apply tick past target.
-	s.handleHeartbeat(wire.Heartbeat{SrcDC: 1, TS: target})
+	heartbeat(s, 1, target)
 	rig.clk.Set(5001)
 	s.applyTick() // advances VV[self] past 5000 and wakes waiters
 

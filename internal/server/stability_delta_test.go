@@ -42,7 +42,7 @@ func TestGossipSuppressedWhenQuiescent(t *testing.T) {
 	}
 
 	// Content change bumps the epoch and pushes again.
-	s.handleHeartbeat(wire.Heartbeat{SrcDC: 2, TS: hlc.New(7, 0)})
+	heartbeat(s, 2, hlc.New(7, 0))
 	st.gossipTick()
 	ups = parent.waitKind(t, wire.KindGSTUp, 2)
 	second := ups[1].(wire.GSTUp)
@@ -160,7 +160,7 @@ func TestPiggybackedStableValuesAdopted(t *testing.T) {
 
 	// ReplicateBatch carries the sender's published UST/Sold; the receiver
 	// adopts them without waiting for the down-tree gossip.
-	s.handleReplicateBatch(wire.ReplicateBatch{
+	deliver(s, wire.ReplicateBatch{
 		SrcDC: 1, UpTo: hlc.New(900, 0),
 		UST: hlc.New(500, 0), Sold: hlc.New(400, 0),
 	})
@@ -180,7 +180,7 @@ func TestPiggybackedStableValuesAdopted(t *testing.T) {
 
 	// A zero UST means "no information" and adopts nothing.
 	before := s.UST()
-	s.handleReplicateBatch(wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(990, 0)})
+	heartbeat(s, 1, hlc.New(990, 0))
 	if s.UST() != before {
 		t.Fatalf("zero piggyback moved UST to %v", s.UST())
 	}

@@ -91,7 +91,7 @@ func TestStabilizerTreeShape(t *testing.T) {
 func TestLocalContributionShape(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
-	s.handleHeartbeat(wire.Heartbeat{SrcDC: 1, TS: hlc.New(7, 0)})
+	heartbeat(s, 1, hlc.New(7, 0))
 
 	vec, oldest := s.stab.localContribution()
 	if len(vec) != 3 {
@@ -143,7 +143,7 @@ func TestAggregateSubtreeWaitsForChildren(t *testing.T) {
 	if len(srv.stab.children) == 0 {
 		t.Skip("partition 0 has no children in this topology")
 	}
-	srv.handleHeartbeat(wire.Heartbeat{SrcDC: 1, TS: hlc.New(42, 0)})
+	heartbeat(srv, 1, hlc.New(42, 0))
 	vec, oldest := srv.stab.aggregateSubtree()
 	for i, ts := range vec {
 		if ts != 0 {

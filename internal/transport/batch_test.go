@@ -45,7 +45,7 @@ func (h *collectHandler) wait(t *testing.T, n int) []wire.Message {
 func batchOf(n int) []wire.Message {
 	msgs := make([]wire.Message, n)
 	for i := range msgs {
-		msgs[i] = wire.Heartbeat{SrcDC: 1, TS: hlc.Timestamp(i + 1)}
+		msgs[i] = wire.USTDown{UST: hlc.Timestamp(i + 1)}
 	}
 	return msgs
 }
@@ -75,9 +75,9 @@ func TestMemNetCastBatchDeliversInOrder(t *testing.T) {
 	}
 	got := h.wait(t, 5)
 	for i, m := range got {
-		hb, ok := m.(wire.Heartbeat)
-		if !ok || hb.TS != hlc.Timestamp(i+1) {
-			t.Fatalf("cast %d = %#v, want Heartbeat TS=%d", i, m, i+1)
+		ud, ok := m.(wire.USTDown)
+		if !ok || ud.UST != hlc.Timestamp(i+1) {
+			t.Fatalf("cast %d = %#v, want USTDown UST=%d", i, m, i+1)
 		}
 	}
 	if net.BatchesSent() != 1 {
@@ -89,8 +89,8 @@ func TestMemNetCastBatchDeliversInOrder(t *testing.T) {
 	if net.MessagesSent() != 5 {
 		t.Fatalf("MessagesSent = %d, want 5", net.MessagesSent())
 	}
-	if got := net.MessagesByKind()[wire.KindHeartbeat]; got != 5 {
-		t.Fatalf("byKind[Heartbeat] = %d, want 5", got)
+	if got := net.MessagesByKind()[wire.KindUSTDown]; got != 5 {
+		t.Fatalf("byKind[USTDown] = %d, want 5", got)
 	}
 }
 
@@ -148,9 +148,9 @@ func TestTCPSendBatchDeliversInOrder(t *testing.T) {
 	}
 	got := h.wait(t, n)
 	for i, m := range got {
-		hb, ok := m.(wire.Heartbeat)
-		if !ok || hb.TS != hlc.Timestamp(i+1) {
-			t.Fatalf("cast %d = %#v, want Heartbeat TS=%d", i, m, i+1)
+		ud, ok := m.(wire.USTDown)
+		if !ok || ud.UST != hlc.Timestamp(i+1) {
+			t.Fatalf("cast %d = %#v, want USTDown UST=%d", i, m, i+1)
 		}
 	}
 }
@@ -182,13 +182,13 @@ func TestTCPSendBatchInterleavesWithSend(t *testing.T) {
 	want := 0
 	for round := 0; round < 10; round++ {
 		want++
-		if err := sender.Cast(b, wire.Heartbeat{SrcDC: 1, TS: hlc.Timestamp(want)}); err != nil {
+		if err := sender.Cast(b, wire.USTDown{UST: hlc.Timestamp(want)}); err != nil {
 			t.Fatal(err)
 		}
 		msgs := make([]wire.Message, 3)
 		for i := range msgs {
 			want++
-			msgs[i] = wire.Heartbeat{SrcDC: 1, TS: hlc.Timestamp(want)}
+			msgs[i] = wire.USTDown{UST: hlc.Timestamp(want)}
 		}
 		if err := sender.CastBatch(b, msgs); err != nil {
 			t.Fatal(err)
@@ -196,9 +196,9 @@ func TestTCPSendBatchInterleavesWithSend(t *testing.T) {
 	}
 	got := h.wait(t, want)
 	for i, m := range got {
-		hb, ok := m.(wire.Heartbeat)
-		if !ok || hb.TS != hlc.Timestamp(i+1) {
-			t.Fatalf("cast %d = %#v, want Heartbeat TS=%d", i, m, i+1)
+		ud, ok := m.(wire.USTDown)
+		if !ok || ud.UST != hlc.Timestamp(i+1) {
+			t.Fatalf("cast %d = %#v, want USTDown UST=%d", i, m, i+1)
 		}
 	}
 }

@@ -64,7 +64,7 @@ var (
 )
 
 func hb(ts uint64) wire.Message {
-	return wire.Heartbeat{SrcDC: 0, TS: hlc.Timestamp(ts)}
+	return wire.USTDown{UST: hlc.Timestamp(ts)}
 }
 
 func TestMemNetDelivers(t *testing.T) {
@@ -87,7 +87,7 @@ func TestMemNetDelivers(t *testing.T) {
 	if got[0].From != nodeA || got[0].To != nodeB {
 		t.Fatalf("bad envelope routing: %+v", got[0])
 	}
-	if got[0].Msg.(wire.Heartbeat).TS != 1 {
+	if got[0].Msg.(wire.USTDown).UST != 1 {
 		t.Fatalf("payload corrupted: %+v", got[0].Msg)
 	}
 }
@@ -133,7 +133,7 @@ func TestMemNetFIFOPerLink(t *testing.T) {
 	}
 	got := sink.waitFor(t, n, 5*time.Second)
 	for i, env := range got {
-		if ts := env.Msg.(wire.Heartbeat).TS; ts != hlc.Timestamp(i) {
+		if ts := env.Msg.(wire.USTDown).UST; ts != hlc.Timestamp(i) {
 			t.Fatalf("FIFO violated at %d: got ts %d", i, ts)
 		}
 	}
@@ -184,7 +184,7 @@ func TestMemNetPartitionQueuesAndHealReleases(t *testing.T) {
 	net.SetPartitioned(0, 1, false)
 	got := sink.waitFor(t, 10, time.Second)
 	for i, env := range got {
-		if ts := env.Msg.(wire.Heartbeat).TS; ts != hlc.Timestamp(i) {
+		if ts := env.Msg.(wire.USTDown).UST; ts != hlc.Timestamp(i) {
 			t.Fatalf("heal broke FIFO at %d: ts %d", i, ts)
 		}
 	}
@@ -230,7 +230,7 @@ func TestMemNetCountsMessages(t *testing.T) {
 	if got := net.MessagesSent(); got != 5 {
 		t.Fatalf("MessagesSent = %d, want 5", got)
 	}
-	if got := net.MessagesByKind()[wire.KindHeartbeat]; got != 5 {
+	if got := net.MessagesByKind()[wire.KindUSTDown]; got != 5 {
 		t.Fatalf("heartbeat count = %d, want 5", got)
 	}
 }
@@ -382,7 +382,7 @@ func TestMemNetLinkFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	envs := sink.waitFor(t, 1, time.Second)
-	if len(envs) != 1 || envs[0].Msg.(wire.Heartbeat).TS != 3 {
+	if len(envs) != 1 || envs[0].Msg.(wire.USTDown).UST != 3 {
 		t.Fatalf("delivered %v, want only the post-heal heartbeat", envs)
 	}
 }

@@ -148,7 +148,7 @@ func TestPeerCallContextCancel(t *testing.T) {
 func TestPeerCast(t *testing.T) {
 	h := &echoHandler{}
 	pA, _, _ := newPeerPair(t, nopHandler{}, h)
-	if err := pA.Cast(nodeB, wire.Heartbeat{SrcDC: 0, TS: 9}); err != nil {
+	if err := pA.Cast(nodeB, wire.USTDown{UST: 9}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(time.Second)
@@ -188,7 +188,7 @@ func TestPeerCloseFailsPendingCalls(t *testing.T) {
 	if _, err := pA.Call(context.Background(), nodeB, wire.StartTxReq{}); err == nil {
 		t.Fatal("call accepted after Close")
 	}
-	if err := pA.Cast(nodeB, wire.Heartbeat{}); err == nil {
+	if err := pA.Cast(nodeB, wire.USTDown{}); err == nil {
 		t.Fatal("cast accepted after Close")
 	}
 }
@@ -198,7 +198,7 @@ func TestPeerUnattachedFailsFast(t *testing.T) {
 	if _, err := p.Call(context.Background(), nodeB, wire.StartTxReq{}); err == nil {
 		t.Fatal("unattached call succeeded")
 	}
-	if err := p.Cast(nodeB, wire.Heartbeat{}); err == nil {
+	if err := p.Cast(nodeB, wire.USTDown{}); err == nil {
 		t.Fatal("unattached cast succeeded")
 	}
 }

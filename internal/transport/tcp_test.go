@@ -2,7 +2,9 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -20,7 +22,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		RequestID: 12345,
 		Msg:       wire.PrepareReq{TxID: 9, Snapshot: 1, HT: 2, Writes: []wire.KV{{Key: "k", Value: []byte("v")}}},
 	}
-	frame := encodeFrame(env)
+	frame := appendFrame(nil, env)
 	// Strip the length prefix as the read loop does.
 	got, err := decodeFrame(frame[4:])
 	if err != nil {
@@ -48,21 +50,13 @@ func TestFrameQuickRoundTrip(t *testing.T) {
 				Index: idx,
 				Role:  topology.Role(role),
 			},
-			// The class byte's high bit is the codec-version tag, so only
-			// 7 bits of class are representable on the wire.
-			Class:     Class(class &^ frameV2Bit),
+			Class:     Class(class),
 			RequestID: reqID,
-			Msg:       wire.Heartbeat{SrcDC: topology.DCID(dc), TS: hlc.Timestamp(ts)},
+			Msg:       wire.USTDown{UST: hlc.Timestamp(ts)},
 		}
-		for _, v := range []wire.Version{wire.V1, wire.V2} {
-			frame := appendFrame(nil, env, v)
-			got, err := decodeFrame(frame[4:])
-			if err != nil || got.From != env.From || got.Class != env.Class ||
-				got.RequestID != env.RequestID || got.Msg.(wire.Heartbeat).TS != hlc.Timestamp(ts) {
-				return false
-			}
-		}
-		return true
+		got, err := decodeFrame(appendFrame(nil, env)[4:])
+		return err == nil && got.From == env.From && got.Class == env.Class &&
+			got.RequestID == env.RequestID && got.Msg.(wire.USTDown).UST == hlc.Timestamp(ts)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -80,6 +74,66 @@ func startTCPNode(t *testing.T, self topology.NodeID, handler RequestHandler, bo
 	t.Cleanup(func() { _ = node.Close() })
 	p.Attach(node)
 	return p, node
+}
+
+// TestTCPFreshConnectionNeedsNoNegotiation lets a raw listener stand in
+// for a peer: the first bytes a TCPNode writes on a new connection must be
+// exactly the one frame it was asked to send, with a body that wire.Decode
+// reads back as the sent message — no handshake precedes it.
+func TestTCPFreshConnectionNeedsNoNegotiation(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	node, err := ListenTCP(nodeA, "127.0.0.1:0", StaticBook{nodeB: ln.Addr().String()}, newCollector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	sent := wire.CohortCommit{TxID: wire.NewTxID(0, 0, 7), CommitTS: hlc.New(42, 1)}
+	if err := node.Send(Envelope{To: nodeB, Class: ClassCast, Msg: sent}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+
+	// Read everything the node writes until it goes quiet.
+	var got []byte
+	buf := make([]byte, 4096)
+	for {
+		_ = raw.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		n, err := raw.Read(buf)
+		got = append(got, buf[:n]...)
+		if err != nil {
+			break
+		}
+	}
+	if len(got) < 4 {
+		t.Fatalf("node wrote %d bytes, want one frame", len(got))
+	}
+	size := int(binary.LittleEndian.Uint32(got))
+	if len(got) != 4+size {
+		t.Fatalf("node wrote %d bytes, want exactly one frame of 4+%d", len(got), size)
+	}
+	env, err := decodeFrame(got[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.From != nodeA || env.Class != ClassCast {
+		t.Fatalf("frame header = %+v, want from %v class cast", env, nodeA)
+	}
+	msg, err := wire.Decode(got[4+frameHeaderSize:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg != wire.Message(sent) {
+		t.Fatalf("decoded %#v, want %#v", msg, sent)
+	}
 }
 
 func TestTCPCallRoundTrip(t *testing.T) {
@@ -110,7 +164,7 @@ func TestTCPCastsPreserveFIFO(t *testing.T) {
 
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := pA.Cast(nodeB, wire.Heartbeat{SrcDC: 0, TS: hlc.Timestamp(i)}); err != nil {
+		if err := pA.Cast(nodeB, wire.USTDown{UST: hlc.Timestamp(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +184,7 @@ func TestTCPCastsPreserveFIFO(t *testing.T) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i, msg := range h.casts {
-		if ts := msg.(wire.Heartbeat).TS; ts != hlc.Timestamp(i) {
+		if ts := msg.(wire.USTDown).UST; ts != hlc.Timestamp(i) {
 			t.Fatalf("TCP FIFO violated at %d: ts=%d", i, ts)
 		}
 	}
@@ -138,7 +192,7 @@ func TestTCPCastsPreserveFIFO(t *testing.T) {
 
 func TestTCPUnknownAddress(t *testing.T) {
 	pA, _ := startTCPNode(t, nodeA, nopHandler{}, StaticBook{})
-	if err := pA.Cast(nodeB, wire.Heartbeat{}); err == nil {
+	if err := pA.Cast(nodeB, wire.USTDown{}); err == nil {
 		t.Fatal("cast to unknown address succeeded")
 	}
 }
@@ -154,7 +208,7 @@ func TestTCPSendAfterClose(t *testing.T) {
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := node.Send(Envelope{To: nodeB, Class: ClassCast, Msg: wire.Heartbeat{}}); err == nil {
+	if err := node.Send(Envelope{To: nodeB, Class: ClassCast, Msg: wire.USTDown{}}); err == nil {
 		t.Fatal("send accepted after close")
 	}
 	// Double close is fine.

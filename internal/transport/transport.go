@@ -29,11 +29,6 @@ const (
 	ClassRequest
 	// ClassResponse answers a ClassRequest.
 	ClassResponse
-	// ClassHello is transport-internal: codec-version negotiation, sent as
-	// the first frame of each TCP connection direction and consumed by the
-	// transport's read loop. It is never delivered to a Handler; handlers
-	// with an exhaustive class switch silently drop it by design.
-	ClassHello
 )
 
 // String implements fmt.Stringer.
@@ -45,8 +40,6 @@ func (c Class) String() string {
 		return "request"
 	case ClassResponse:
 		return "response"
-	case ClassHello:
-		return "hello"
 	default:
 		return fmt.Sprintf("class(%d)", uint8(c))
 	}

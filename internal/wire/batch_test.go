@@ -70,7 +70,7 @@ func TestReplicateBatchItems(t *testing.T) {
 
 func TestBufferPoolReuse(t *testing.T) {
 	b := GetBuffer()
-	*b = AppendMessage(*b, Heartbeat{SrcDC: 1, TS: 2})
+	*b = AppendMessage(*b, CohortCommit{TxID: 1, CommitTS: 2})
 	if len(*b) == 0 {
 		t.Fatal("AppendMessage wrote nothing")
 	}
@@ -90,31 +90,25 @@ func TestBufferPoolDropsOversized(t *testing.T) {
 
 func FuzzDecode(f *testing.F) {
 	for _, msg := range sampleMessages() {
-		f.Add(Encode(msg))
-		f.Add(EncodeV(msg, V2))
+		data := Encode(msg)
+		f.Add(data)
+		f.Add(data[:len(data)-1])
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(KindReplicateBatch)})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The same raw bytes are fed to both frame versions: whatever either
-		// accepts must re-encode and decode back to the same value — each
-		// codec version is a bijection on its accepted inputs. (The two
-		// versions accept different byte sets; a frame is tagged with its
-		// version out of band, so cross-version confusion never reaches
-		// Decode.)
-		for _, v := range []Version{V1, V2} {
-			msg, err := DecodeV(data, v)
-			if err != nil {
-				continue
-			}
-			data2 := EncodeV(msg, v)
-			msg2, err := DecodeV(data2, v)
-			if err != nil {
-				t.Fatalf("v%d re-decode of %v failed: %v", v, msg.Kind(), err)
-			}
-			if !equalMessages(msg, msg2) {
-				t.Fatalf("v%d re-encode changed message:\n first %#v\n second %#v", v, msg, msg2)
-			}
+		// Whatever Decode accepts must re-encode and decode back to the same
+		// value: the codec is a bijection on its accepted inputs.
+		msg, err := Decode(data)
+		if err != nil {
+			return
+		}
+		msg2, err := Decode(Encode(msg))
+		if err != nil {
+			t.Fatalf("re-decode of %v failed: %v", msg.Kind(), err)
+		}
+		if !equalMessages(msg, msg2) {
+			t.Fatalf("re-encode changed message:\n first %#v\n second %#v", msg, msg2)
 		}
 	})
 }

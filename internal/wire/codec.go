@@ -12,70 +12,38 @@ import (
 // The codec is a hand-rolled binary format (the paper uses protobufs; any
 // self-describing framing preserves behaviour and the stdlib constraint
 // rules protobuf out). Layout: one Kind byte followed by the message body.
-// Two body formats exist, selected out of band (the TCP transport tags each
-// frame with the version its peer negotiated; everything else speaks v1):
+// Lengths, counts and small scalars are unsigned varints; hlc.Timestamps and
+// TxIDs are delta chains — the first occurrence in a message is a fixed
+// 8-byte little-endian value, every later one a zigzag varint of the
+// difference from the previous one of the same type. Commit timestamps
+// inside a batch are dense and ascending, and TxIDs from one coordinator
+// differ only in their low sequence bits, so the chains collapse both to
+// one or two bytes each.
 //
-//   - V1: little-endian fixed-width scalars; strings, byte slices and slice
-//     counts carry uint32 length prefixes.
-//   - V2: lengths, counts and small scalars are unsigned varints;
-//     hlc.Timestamps and TxIDs are delta chains — the first occurrence in a
-//     message is a fixed 8-byte value, every later one a zigzag varint of
-//     the difference from the previous one of the same type. Commit
-//     timestamps inside a batch are dense and ascending, and TxIDs from one
-//     coordinator differ only in their low sequence bits, so the chains
-//     collapse both to one or two bytes each.
-//
-// Both versions share one encoder type switch and one decoder kind switch;
-// the version lives in the writer/reader state, so a message kind cannot be
-// encodable in one version and not the other (the wiresync analyzer checks
-// the shared switches).
-
-// Version selects a codec body format. The zero value is not a valid
-// version; V1 is the implicit default everywhere a version is not
-// negotiated.
-type Version uint8
-
-const (
-	// V1 is the original fixed-width little-endian format.
-	V1 Version = 1
-	// V2 is the compact varint/delta format.
-	V2 Version = 2
-	// MaxVersion is the newest format this build speaks.
-	MaxVersion = V2
-)
+// One encoder type switch and one decoder kind switch cover every message
+// (the wiresync analyzer checks that they agree).
 
 // ErrTruncated reports a message shorter than its declared contents.
 var ErrTruncated = errors.New("wire: truncated message")
 
 // ErrMalformed reports a structurally invalid message: a varint that
-// overflows its field, or a version this build does not speak.
+// overflows its field.
 var ErrMalformed = errors.New("wire: malformed message")
 
 // maxSliceLen bounds decoded slice lengths to keep a corrupt or malicious
 // length prefix from allocating unbounded memory.
 const maxSliceLen = 1 << 26 // 64 Mi elements / bytes
 
-// Encode serializes msg (kind byte + v1 body) into a fresh buffer.
+// Encode serializes msg (kind byte + body) into a fresh buffer.
 func Encode(msg Message) []byte {
-	return AppendMessageV(nil, msg, V1)
+	return AppendMessage(nil, msg)
 }
 
-// EncodeV serializes msg with the given codec version into a fresh buffer.
-func EncodeV(msg Message, v Version) []byte {
-	return AppendMessageV(nil, msg, v)
-}
-
-// AppendMessage appends the v1 encoding of msg to buf and returns the
-// result.
+// AppendMessage appends the encoding of msg to buf and returns the result.
+// It is single-pass: the message is walked exactly once, appending as it
+// goes — there is no size pre-computation step.
 func AppendMessage(buf []byte, msg Message) []byte {
-	return AppendMessageV(buf, msg, V1)
-}
-
-// AppendMessageV appends the encoding of msg in codec version v to buf and
-// returns the result. It is single-pass: the message is walked exactly once,
-// appending as it goes — there is no size pre-computation step.
-func AppendMessageV(buf []byte, msg Message, v Version) []byte {
-	e := enc{buf: buf, v2: v >= V2}
+	e := enc{buf: buf}
 	e.buf = append(e.buf, byte(msg.Kind()))
 	switch m := msg.(type) {
 	case StartTxReq:
@@ -140,10 +108,6 @@ func AppendMessageV(buf []byte, msg Message, v Version) []byte {
 		e.id(m.TxID)
 		e.u8(uint8(m.Status))
 		e.ts(m.CommitTS)
-	case Replicate:
-		e.u32(uint32(m.SrcDC))
-		e.ts(m.CT)
-		e.txns(m.Txns)
 	case ReplicateBatch:
 		e.u32(uint32(m.SrcDC))
 		e.u64(m.Epoch)
@@ -173,9 +137,6 @@ func AppendMessageV(buf []byte, msg Message, v Version) []byte {
 		e.ts(m.UST)
 		e.ts(m.Sold)
 		e.u64(m.QueuedBytes)
-	case Heartbeat:
-		e.u32(uint32(m.SrcDC))
-		e.ts(m.TS)
 	case GSTUp:
 		e.u64(m.Epoch)
 		e.bool(m.Active)
@@ -191,8 +152,6 @@ func AppendMessageV(buf []byte, msg Message, v Version) []byte {
 		e.ts(m.UST)
 		e.ts(m.Sold)
 		e.bool(m.Active)
-	case Hello:
-		e.u8(m.MaxVersion)
 	case ErrorResp:
 		e.u16(m.Code)
 		e.string(m.Msg)
@@ -207,20 +166,12 @@ func AppendMessageV(buf []byte, msg Message, v Version) []byte {
 	return e.buf
 }
 
-// Decode parses a v1 message previously produced by Encode/AppendMessage.
+// Decode parses a message previously produced by Encode/AppendMessage.
 func Decode(data []byte) (Message, error) {
-	return DecodeV(data, V1)
-}
-
-// DecodeV parses a message encoded with codec version v.
-func DecodeV(data []byte, v Version) (Message, error) {
-	if v != V1 && v != V2 {
-		return nil, fmt.Errorf("%w: unsupported codec version %d", ErrMalformed, v)
-	}
 	if len(data) == 0 {
 		return nil, ErrTruncated
 	}
-	kind, r := Kind(data[0]), reader{buf: data[1:], v2: v == V2}
+	kind, r := Kind(data[0]), reader{buf: data[1:]}
 	var msg Message
 	switch kind {
 	case KindStartTxReq:
@@ -277,8 +228,6 @@ func DecodeV(data []byte, v Version) (Message, error) {
 		msg = TxStatusReq{TxID: r.id()}
 	case KindTxStatusResp:
 		msg = TxStatusResp{TxID: r.id(), Status: TxStatus(r.u8()), CommitTS: r.ts()}
-	case KindReplicate:
-		msg = Replicate{SrcDC: topology.DCID(r.u32()), CT: r.ts(), Txns: r.txns()}
 	case KindReplicateBatch:
 		rep := ReplicateBatch{SrcDC: topology.DCID(r.u32()), Epoch: r.u64(), Seq: r.u64(),
 			UpTo: r.ts(), UST: r.ts(), Sold: r.ts()}
@@ -297,16 +246,12 @@ func DecodeV(data []byte, v Version) (Message, error) {
 	case KindReplStatus:
 		msg = ReplStatus{SrcDC: topology.DCID(r.u32()), Epoch: r.u64(), NextSeq: r.u64(),
 			UpTo: r.ts(), UST: r.ts(), Sold: r.ts(), QueuedBytes: r.u64()}
-	case KindHeartbeat:
-		msg = Heartbeat{SrcDC: topology.DCID(r.u32()), TS: r.ts()}
 	case KindGSTUp:
 		msg = GSTUp{Epoch: r.u64(), Active: r.bool(), Vec: r.tss(), Oldest: r.ts()}
 	case KindGSTRoot:
 		msg = GSTRoot{DC: topology.DCID(r.u32()), Epoch: r.u64(), Active: r.bool(), Vec: r.tss(), Oldest: r.ts()}
 	case KindUSTDown:
 		msg = USTDown{UST: r.ts(), Sold: r.ts(), Active: r.bool()}
-	case KindHello:
-		msg = Hello{MaxVersion: r.u8()}
 	case KindError:
 		msg = ErrorResp{Code: r.u16(), Msg: r.string()}
 	default:
@@ -330,11 +275,10 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // --- encode side ---
 
-// enc is the versioned writer. Delta chains (prevTS/prevID) reset per
+// enc is the message writer. Delta chains (prevTS/prevID) reset per
 // message: an enc value encodes exactly one message body.
 type enc struct {
 	buf []byte
-	v2  bool
 
 	hasTS, hasID   bool
 	prevTS, prevID uint64
@@ -350,38 +294,16 @@ func (e *enc) bool(v bool) {
 	}
 }
 
-func (e *enc) u16(v uint16) {
-	if e.v2 {
-		e.buf = binary.AppendUvarint(e.buf, uint64(v))
-		return
-	}
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
-}
+func (e *enc) u16(v uint16) { e.buf = binary.AppendUvarint(e.buf, uint64(v)) }
 
-func (e *enc) u32(v uint32) {
-	if e.v2 {
-		e.buf = binary.AppendUvarint(e.buf, uint64(v))
-		return
-	}
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
-}
+func (e *enc) u32(v uint32) { e.buf = binary.AppendUvarint(e.buf, uint64(v)) }
 
-func (e *enc) u64(v uint64) {
-	if e.v2 {
-		e.buf = binary.AppendUvarint(e.buf, v)
-		return
-	}
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
+func (e *enc) u64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
-// ts writes a timestamp: fixed-width in v1; in v2 the first timestamp of the
-// message is fixed 8 bytes and every later one is a zigzag varint delta
-// against the previous timestamp written.
+// ts writes a timestamp: the first timestamp of the message is fixed 8
+// bytes and every later one is a zigzag varint delta against the previous
+// timestamp written.
 func (e *enc) ts(t hlc.Timestamp) {
-	if !e.v2 {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(t))
-		return
-	}
 	if !e.hasTS {
 		e.hasTS, e.prevTS = true, uint64(t)
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(t))
@@ -396,10 +318,6 @@ func (e *enc) ts(t hlc.Timestamp) {
 // consecutive ids from one coordinator differ only in the low sequence
 // bits, so the deltas are tiny.
 func (e *enc) id(v TxID) {
-	if !e.v2 {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
-		return
-	}
 	if !e.hasID {
 		e.hasID, e.prevID = true, uint64(v)
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
@@ -476,7 +394,6 @@ func (e *enc) items(items []Item) {
 type reader struct {
 	buf []byte
 	err error
-	v2  bool
 
 	hasTS, hasID   bool
 	prevTS, prevID uint64
@@ -510,7 +427,7 @@ func (r *reader) u8() uint8 {
 
 func (r *reader) bool() bool { return r.u8() != 0 }
 
-// fix64 reads a fixed-width little-endian u64 in both versions.
+// fix64 reads a fixed-width little-endian u64.
 func (r *reader) fix64() uint64 {
 	if r.err != nil || len(r.buf) < 8 {
 		r.fail()
@@ -521,7 +438,7 @@ func (r *reader) fix64() uint64 {
 	return v
 }
 
-// uvarint reads an unsigned varint (v2 only).
+// uvarint reads an unsigned varint.
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
@@ -540,53 +457,27 @@ func (r *reader) uvarint() uint64 {
 }
 
 func (r *reader) u16() uint16 {
-	if r.v2 {
-		v := r.uvarint()
-		if v > 1<<16-1 {
-			r.failMalformed()
-			return 0
-		}
-		return uint16(v)
-	}
-	if r.err != nil || len(r.buf) < 2 {
-		r.fail()
+	v := r.uvarint()
+	if v > 1<<16-1 {
+		r.failMalformed()
 		return 0
 	}
-	v := binary.LittleEndian.Uint16(r.buf)
-	r.buf = r.buf[2:]
-	return v
+	return uint16(v)
 }
 
 func (r *reader) u32() uint32 {
-	if r.v2 {
-		v := r.uvarint()
-		if v > 1<<32-1 {
-			r.failMalformed()
-			return 0
-		}
-		return uint32(v)
-	}
-	if r.err != nil || len(r.buf) < 4 {
-		r.fail()
+	v := r.uvarint()
+	if v > 1<<32-1 {
+		r.failMalformed()
 		return 0
 	}
-	v := binary.LittleEndian.Uint32(r.buf)
-	r.buf = r.buf[4:]
-	return v
+	return uint32(v)
 }
 
-func (r *reader) u64() uint64 {
-	if r.v2 {
-		return r.uvarint()
-	}
-	return r.fix64()
-}
+func (r *reader) u64() uint64 { return r.uvarint() }
 
-// ts reads a timestamp, inverting enc.ts's per-message delta chain in v2.
+// ts reads a timestamp, inverting enc.ts's per-message delta chain.
 func (r *reader) ts() hlc.Timestamp {
-	if !r.v2 {
-		return hlc.Timestamp(r.fix64())
-	}
 	if !r.hasTS {
 		r.hasTS = true
 		r.prevTS = r.fix64()
@@ -596,11 +487,8 @@ func (r *reader) ts() hlc.Timestamp {
 	return hlc.Timestamp(r.prevTS)
 }
 
-// id reads a TxID, inverting enc.id's chain in v2.
+// id reads a TxID, inverting enc.id's chain.
 func (r *reader) id() TxID {
-	if !r.v2 {
-		return TxID(r.fix64())
-	}
 	if !r.hasID {
 		r.hasID = true
 		r.prevID = r.fix64()
@@ -613,12 +501,7 @@ func (r *reader) id() TxID {
 // length reads a string/bytes/slice length prefix with the sanity cap
 // applied.
 func (r *reader) length() int {
-	var n uint64
-	if r.v2 {
-		n = r.uvarint()
-	} else {
-		n = uint64(r.u32())
-	}
+	n := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
@@ -641,16 +524,6 @@ func (r *reader) sliceLen() int {
 		return 0
 	}
 	return n
-}
-
-// minElem is the smallest possible encoding of one slice element whose v1
-// encoding occupies fixed bytes; the preflight length×minElem check rejects
-// absurd counts before allocating.
-func (r *reader) minElem(v1Size int) int {
-	if r.v2 {
-		return 1
-	}
-	return v1Size
 }
 
 func (r *reader) string() string {
@@ -691,10 +564,6 @@ func (r *reader) strings() []string {
 	if n == 0 {
 		return nil
 	}
-	if n*r.minElem(4) > len(r.buf) {
-		r.fail()
-		return nil
-	}
 	ss := make([]string, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		ss = append(ss, r.string())
@@ -705,10 +574,6 @@ func (r *reader) strings() []string {
 func (r *reader) tss() []hlc.Timestamp {
 	n := r.sliceLen()
 	if n == 0 {
-		return nil
-	}
-	if n*r.minElem(8) > len(r.buf) {
-		r.fail()
 		return nil
 	}
 	tss := make([]hlc.Timestamp, 0, n)
@@ -762,18 +627,4 @@ func (r *reader) items() []Item {
 		})
 	}
 	return items
-}
-
-// --- fixed-width primitive helpers (v1 layout; used by tests and sizing) ---
-
-func putU16(buf []byte, v uint16) []byte {
-	return binary.LittleEndian.AppendUint16(buf, v)
-}
-
-func putU32(buf []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(buf, v)
-}
-
-func putU64(buf []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, v)
 }

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -56,11 +58,6 @@ func sampleMessages() []Message {
 		TxStatusReq{TxID: NewTxID(1, 3, 17)},
 		TxStatusResp{TxID: NewTxID(1, 3, 17), Status: TxStatusCommitted, CommitTS: hlc.New(90, 1)},
 		TxStatusResp{Status: TxStatusUnknown},
-		Replicate{SrcDC: 4, CT: hlc.New(30, 0), Txns: []TxUpdates{
-			{TxID: 11, SrcDC: 4, Writes: []KV{{Key: "m", Value: []byte("n")}}},
-			{TxID: 12, SrcDC: 4},
-		}},
-		Replicate{SrcDC: 0, CT: 0},
 		ReplicateBatch{SrcDC: 3, Epoch: 2, Seq: 17, UpTo: hlc.New(60, 0),
 			UST: hlc.New(58, 0), Sold: hlc.New(55, 0), Groups: []ReplicateGroup{
 				{CT: hlc.New(31, 0), Txns: []TxUpdates{
@@ -72,7 +69,6 @@ func sampleMessages() []Message {
 				}},
 			}},
 		ReplicateBatch{SrcDC: 0, UpTo: hlc.New(70, 0)},
-		Heartbeat{SrcDC: 2, TS: hlc.New(40, 9)},
 		GSTUp{Epoch: 12, Active: true, Vec: []hlc.Timestamp{1, hlc.MaxTimestamp, 3}, Oldest: 2},
 		GSTUp{},
 		GSTRoot{DC: 1, Epoch: 4, Active: true, Vec: []hlc.Timestamp{7, 8}, Oldest: 6},
@@ -80,10 +76,25 @@ func sampleMessages() []Message {
 			UST: hlc.New(43, 0), Sold: hlc.New(40, 0), QueuedBytes: 1 << 20},
 		ReplStatus{},
 		USTDown{UST: hlc.New(55, 0), Sold: hlc.New(50, 0), Active: true},
-		Hello{MaxVersion: uint8(MaxVersion)},
-		Hello{},
 		ErrorResp{Code: CodeShuttingDown, Msg: "stopping"},
 		ErrorResp{},
+		// Delta-chain edge cases. Timestamp pairs whose difference
+		// overflows int64 (hlc.MaxTimestamp next to zero) pin down that the
+		// zigzag arithmetic wraps exactly for all uint64 values.
+		GSTUp{Epoch: 1, Vec: []hlc.Timestamp{0, hlc.MaxTimestamp}, Oldest: hlc.MaxTimestamp},
+		GSTUp{Epoch: 1, Vec: []hlc.Timestamp{hlc.MaxTimestamp, 0}, Oldest: 0},
+		GSTUp{Epoch: 1, Vec: []hlc.Timestamp{hlc.MaxTimestamp, hlc.MaxTimestamp}, Oldest: hlc.MaxTimestamp},
+		GSTUp{Epoch: 1, Vec: []hlc.Timestamp{1 << 63, 1<<63 - 1}, Oldest: 1<<63 - 1},
+		GSTUp{Epoch: 1, Vec: []hlc.Timestamp{math.MaxInt64, math.MaxInt64 + 1}, Oldest: math.MaxInt64 + 1},
+		GSTUp{Epoch: 1, Vec: []hlc.Timestamp{5, 5}, Oldest: 5},
+		GSTUp{Epoch: 1, Vec: []hlc.Timestamp{hlc.New(1<<47, 0), hlc.New(1, 1<<15)}, Oldest: hlc.New(1, 1<<15)},
+		// The TxID chain is independent of the timestamp chain and must
+		// survive decreasing ids (repair items are sorted by UT, not TxID).
+		ReplSyncResp{SrcDC: 1, Epoch: 1, NextSeq: 2, UpTo: hlc.New(99, 0), Items: []Item{
+			{Key: "a", Value: []byte("1"), UT: hlc.New(10, 0), TxID: NewTxID(2, 5, 1000), SrcDC: 2},
+			{Key: "b", Value: []byte("2"), UT: hlc.New(11, 0), TxID: NewTxID(2, 5, 3), SrcDC: 2},
+			{Key: "c", Value: []byte("3"), UT: hlc.New(12, 0), TxID: NewTxID(0, 0, 0), SrcDC: 0},
+		}},
 	}
 }
 
@@ -141,14 +152,6 @@ func normalize(m Message) Message {
 		return v
 	case CommitRecover:
 		v.Writes = normKVs(v.Writes)
-		return v
-	case Replicate:
-		if len(v.Txns) == 0 {
-			v.Txns = nil
-		}
-		for i := range v.Txns {
-			v.Txns[i].Writes = normKVs(v.Txns[i].Writes)
-		}
 		return v
 	case ReplicateBatch:
 		if len(v.Groups) == 0 {
@@ -215,11 +218,10 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		data := Encode(msg)
 		for cut := 0; cut < len(data); cut++ {
 			if _, err := Decode(data[:cut]); err == nil {
-				// Some prefixes of slice-bearing messages can decode to an
-				// empty-slice variant only if the cut lands exactly on a
-				// well-formed boundary; with fixed-width prefixes that never
-				// happens, so any successful decode of a strict prefix is a
-				// codec bug.
+				// Every field occupies at least one byte (varints are
+				// self-delimiting, the first timestamp/TxID of a message is
+				// fixed-width), so any successful decode of a strict prefix
+				// is a codec bug.
 				t.Fatalf("Decode accepted truncated %v at %d/%d bytes", msg.Kind(), cut, len(data))
 			}
 		}
@@ -227,7 +229,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
-	data := Encode(Heartbeat{SrcDC: 1, TS: 5})
+	data := Encode(CohortCommit{TxID: 1, CommitTS: 5})
 	data = append(data, 0xFF)
 	if _, err := Decode(data); err == nil {
 		t.Fatal("Decode accepted trailing garbage")
@@ -249,8 +251,8 @@ func TestDecodeRejectsEmpty(t *testing.T) {
 func TestDecodeRejectsHugeLengthPrefix(t *testing.T) {
 	// A ReadReq claiming 2^31 keys must fail fast, not allocate.
 	data := []byte{byte(KindReadReq)}
-	data = putU64(data, 1)
-	data = putU32(data, 1<<31-1)
+	data = binary.LittleEndian.AppendUint64(data, 1)
+	data = binary.AppendUvarint(data, 1<<31-1)
 	if _, err := Decode(data); err == nil {
 		t.Fatal("Decode accepted absurd slice length")
 	}
@@ -263,6 +265,105 @@ func TestDecodeRandomBytesNeverPanics(t *testing.T) {
 		n := rng.Intn(len(buf))
 		rng.Read(buf[:n])
 		_, _ = Decode(buf[:n]) // must not panic; error is fine
+	}
+}
+
+// The TestV2 tests target what is particular to the compact varint/delta
+// layout: per-message delta chains, self-delimiting varints and the
+// zigzag-encoded timestamp and TxID differences.
+
+// TestV2EncodeDecodeRoundTrip encodes every sample into one reused buffer,
+// so a delta chain that leaked from one message into the next would corrupt
+// the later frame.
+func TestV2EncodeDecodeRoundTrip(t *testing.T) {
+	msgs := append(sampleMessages(), makeBatch(8, 4, 1), makeBatch(3, 2, 2))
+	var buf []byte
+	for i := 0; i < 2; i++ {
+		for _, msg := range msgs {
+			buf = AppendMessage(buf[:0], msg)
+			got, err := Decode(buf)
+			if err != nil {
+				t.Fatalf("Decode(%v): %v", msg.Kind(), err)
+			}
+			if !equalMessages(msg, got) {
+				t.Fatalf("round trip mismatch for %v:\n sent %#v\n got  %#v", msg.Kind(), msg, got)
+			}
+		}
+	}
+}
+
+// TestV2DecodeRejectsTruncation checks strict prefixes of multi-group
+// batches, whose dense commit timestamps and sequential TxIDs encode as
+// one-byte deltas: cutting inside such a chain must still fail.
+func TestV2DecodeRejectsTruncation(t *testing.T) {
+	for _, msg := range []Message{makeBatch(4, 3, 1), makeBatch(2, 2, 2)} {
+		data := Encode(msg)
+		for cut := 0; cut < len(data); cut++ {
+			if _, err := Decode(data[:cut]); err == nil {
+				t.Fatalf("Decode accepted truncated %v at %d/%d bytes", msg.Kind(), cut, len(data))
+			}
+		}
+	}
+}
+
+// TestV2DecodeRandomBytesNeverPanics corrupts bytes of valid frames rather
+// than drawing whole frames at random, so the decoder gets past the kind byte
+// and into the varint and delta paths before it meets bad input.
+func TestV2DecodeRandomBytesNeverPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var frames [][]byte
+	for _, msg := range append(sampleMessages(), makeBatch(3, 2, 2)) {
+		frames = append(frames, Encode(msg))
+	}
+	for i := 0; i < 20000; i++ {
+		data := append([]byte(nil), frames[rng.Intn(len(frames))]...)
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			data[rng.Intn(len(data))] = byte(rng.Intn(256))
+		}
+		_, _ = Decode(data) // must not panic; error is fine
+	}
+}
+
+// TestV2TimestampDeltaWraparound drives the zigzag delta chain through
+// extreme timestamp pairs (including hlc.MaxTimestamp next to zero, whose
+// delta overflows int64) to pin down that the unsigned-wraparound arithmetic
+// is exact for all uint64 values.
+func TestV2TimestampDeltaWraparound(t *testing.T) {
+	pairs := [][]hlc.Timestamp{
+		{0, hlc.MaxTimestamp},
+		{hlc.MaxTimestamp, 0},
+		{hlc.MaxTimestamp, hlc.MaxTimestamp},
+		{1 << 63, (1 << 63) - 1},
+		{math.MaxInt64, math.MaxInt64 + 1},
+		{5, 5},
+		{hlc.New(1<<47, 0), hlc.New(1, 1<<15)},
+	}
+	for _, vec := range pairs {
+		msg := GSTUp{Epoch: 1, Vec: vec, Oldest: vec[len(vec)-1]}
+		got, err := Decode(Encode(msg))
+		if err != nil {
+			t.Fatalf("vec %v: %v", vec, err)
+		}
+		if !equalMessages(msg, got) {
+			t.Fatalf("delta chain corrupted %v -> %#v", vec, got)
+		}
+	}
+}
+
+// TestV2TxIDDeltaChain exercises the independent TxID chain, including ids
+// that decrease (repair items are sorted by UT, not TxID).
+func TestV2TxIDDeltaChain(t *testing.T) {
+	msg := ReplSyncResp{SrcDC: 1, Epoch: 1, NextSeq: 2, UpTo: hlc.New(99, 0), Items: []Item{
+		{Key: "a", Value: []byte("1"), UT: hlc.New(10, 0), TxID: NewTxID(2, 5, 1000), SrcDC: 2},
+		{Key: "b", Value: []byte("2"), UT: hlc.New(11, 0), TxID: NewTxID(2, 5, 3), SrcDC: 2},
+		{Key: "c", Value: []byte("3"), UT: hlc.New(12, 0), TxID: NewTxID(0, 0, 0), SrcDC: 0},
+	}}
+	got, err := Decode(Encode(msg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalMessages(msg, got) {
+		t.Fatalf("TxID chain mismatch:\n sent %#v\n got  %#v", msg, got)
 	}
 }
 
@@ -295,7 +396,8 @@ func TestQuickRoundTripReplicate(t *testing.T) {
 				Writes: []KV{{Key: "k", Value: []byte{byte(id)}}},
 			})
 		}
-		msg := Replicate{SrcDC: topology.DCID(src), CT: hlc.Timestamp(ct), Txns: txns}
+		msg := ReplicateBatch{SrcDC: topology.DCID(src), UpTo: hlc.Timestamp(ct),
+			Groups: []ReplicateGroup{{CT: hlc.Timestamp(ct), Txns: txns}}}
 		got, err := Decode(Encode(msg))
 		return err == nil && equalMessages(msg, got)
 	}
@@ -306,7 +408,7 @@ func TestQuickRoundTripReplicate(t *testing.T) {
 
 func TestAppendMessageAppends(t *testing.T) {
 	prefix := []byte("hdr:")
-	out := AppendMessage(prefix, Heartbeat{SrcDC: 1, TS: 2})
+	out := AppendMessage(prefix, CohortCommit{TxID: 1, CommitTS: 2})
 	if !bytes.HasPrefix(out, prefix) {
 		t.Fatal("AppendMessage clobbered prefix")
 	}
@@ -314,7 +416,7 @@ func TestAppendMessageAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hb, ok := msg.(Heartbeat); !ok || hb.SrcDC != 1 || hb.TS != 2 {
+	if cc, ok := msg.(CohortCommit); !ok || cc.TxID != 1 || cc.CommitTS != 2 {
 		t.Fatalf("decoded %#v", msg)
 	}
 }
@@ -355,8 +457,7 @@ func TestKindStrings(t *testing.T) {
 		KindStartTxReq, KindStartTxResp, KindReadReq, KindReadResp,
 		KindCommitReq, KindCommitResp, KindFinishTx, KindReadSliceReq,
 		KindReadSliceResp, KindPrepareReq, KindPrepareResp, KindCohortCommit,
-		KindReplicate, KindReplicateBatch, KindHeartbeat, KindGSTUp, KindGSTRoot,
-		KindUSTDown, KindHello, KindError,
+		KindReplicateBatch, KindGSTUp, KindGSTRoot, KindUSTDown, KindError,
 	}
 	seen := make(map[string]bool, len(kinds))
 	for _, k := range kinds {
@@ -416,5 +517,24 @@ func TestTxIDCoordinator(t *testing.T) {
 	}
 	if got := id.Coordinator(); got != topology.ServerID(3, 12) {
 		t.Fatalf("Coordinator() = %v, want s3.12", got)
+	}
+}
+
+// TestDecodeArenaValuesIndependent pins down that the decode arena hands out
+// non-aliasing value slices: appending to one decoded value must not clobber
+// its neighbour, even though both live in one backing allocation.
+func TestDecodeArenaValuesIndependent(t *testing.T) {
+	msg := ReadSliceResp{Items: []Item{
+		{Key: "a", Value: []byte("1111"), UT: 1, TxID: 1, SrcDC: 1},
+		{Key: "b", Value: []byte("2222"), UT: 2, TxID: 2, SrcDC: 1},
+	}}
+	got, err := Decode(Encode(msg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := got.(ReadSliceResp).Items
+	_ = append(items[0].Value, 0xFF, 0xFF, 0xFF, 0xFF)
+	if string(items[1].Value) != "2222" {
+		t.Fatalf("appending to item 0 corrupted item 1: %q", items[1].Value)
 	}
 }

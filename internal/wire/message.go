@@ -104,12 +104,6 @@ const (
 	KindPrepareResp
 	// KindCohortCommit is the 2PC commit notification (Alg. 2 line 27).
 	KindCohortCommit
-	// KindReplicate propagates applied transactions to peer replicas
-	// (Alg. 4 line 15).
-	KindReplicate
-	// KindHeartbeat advances a peer's version vector in absence of updates
-	// (Alg. 4 line 21).
-	KindHeartbeat
 	// KindGSTUp aggregates version-vector minima up the intra-DC tree.
 	KindGSTUp
 	// KindGSTRoot exchanges aggregated vectors between DC roots.
@@ -157,12 +151,6 @@ const (
 	// over the high-water mark. It carries no data and the receiver must
 	// not advance its version vector from it.
 	KindReplStatus
-	// KindHello is the per-connection codec negotiation: each side of a TCP
-	// connection advertises the newest codec version it speaks before any
-	// other traffic. A sender uses codec v2 toward a peer only after the
-	// peer's hello arrives; a peer that never says hello gets v1 forever.
-	// The hello itself is always encoded with codec v1.
-	KindHello
 )
 
 // String implements fmt.Stringer.
@@ -180,8 +168,6 @@ func (k Kind) String() string {
 		KindPrepareReq:       "PrepareReq",
 		KindPrepareResp:      "PrepareResp",
 		KindCohortCommit:     "CohortCommit",
-		KindReplicate:        "Replicate",
-		KindHeartbeat:        "Heartbeat",
 		KindGSTUp:            "GSTUp",
 		KindGSTRoot:          "GSTRoot",
 		KindUSTDown:          "USTDown",
@@ -196,7 +182,6 @@ func (k Kind) String() string {
 		KindReplSyncReq:      "ReplSyncReq",
 		KindReplSyncResp:     "ReplSyncResp",
 		KindReplStatus:       "ReplStatus",
-		KindHello:            "Hello",
 	}
 	if int(k) < len(names) && names[k] != "" {
 		return names[k]
@@ -505,18 +490,6 @@ type TxUpdates struct {
 	Writes []KV
 }
 
-// Replicate ships the transactions that committed at time CT on the sender's
-// replica to a peer replica of the same partition. All carried transactions
-// share the commit timestamp CT (Alg. 4 groups by ct before sending).
-type Replicate struct {
-	SrcDC topology.DCID
-	CT    hlc.Timestamp
-	Txns  []TxUpdates
-}
-
-// Kind implements Message.
-func (Replicate) Kind() Kind { return KindReplicate }
-
 // ReplicateGroup is one commit-timestamp group inside a ReplicateBatch: the
 // transactions that committed at CT on the sender's replica.
 type ReplicateGroup struct {
@@ -576,16 +549,6 @@ func (b ReplicateBatch) Items() int {
 	return n
 }
 
-// Heartbeat advances the receiver's version-vector entry for the sender's DC
-// when the sender has had no transactions to replicate.
-type Heartbeat struct {
-	SrcDC topology.DCID
-	TS    hlc.Timestamp
-}
-
-// Kind implements Message.
-func (Heartbeat) Kind() Kind { return KindHeartbeat }
-
 // GSTUp flows from a child to its parent in the intra-DC aggregation tree.
 // Vec[j] is the minimum, over the subtree, of the version-vector entries
 // tracking data center j (hlc.MaxTimestamp where undefined). Oldest is the
@@ -637,18 +600,6 @@ type USTDown struct {
 
 // Kind implements Message.
 func (USTDown) Kind() Kind { return KindUSTDown }
-
-// Hello advertises the newest codec version the sender speaks on a TCP
-// connection. It is the first frame each side sends after a connection
-// opens, always encoded with codec v1, and is consumed by the transport —
-// it is never delivered to the protocol layer. See internal/transport for
-// the negotiation rule.
-type Hello struct {
-	MaxVersion uint8
-}
-
-// Kind implements Message.
-func (Hello) Kind() Kind { return KindHello }
 
 // ErrorResp reports a request failure (e.g. server shutting down, unknown
 // transaction). Callers convert it into an error.
@@ -714,12 +665,9 @@ var (
 	_ Message = AbortTx{}
 	_ Message = TxStatusReq{}
 	_ Message = TxStatusResp{}
-	_ Message = Replicate{}
 	_ Message = ReplicateBatch{}
-	_ Message = Heartbeat{}
 	_ Message = GSTUp{}
 	_ Message = GSTRoot{}
 	_ Message = USTDown{}
-	_ Message = Hello{}
 	_ Message = ErrorResp{}
 )

@@ -39,7 +39,7 @@ func TestApproxSizeTracksEncodedSize(t *testing.T) {
 
 // TestApproxSizeDefault: header-sized messages get a flat estimate.
 func TestApproxSizeDefault(t *testing.T) {
-	if got := ApproxSize(Heartbeat{SrcDC: 1, TS: hlc.New(7, 0)}); got != 64 {
-		t.Errorf("ApproxSize(Heartbeat) = %d, want 64", got)
+	if got := ApproxSize(CohortCommit{TxID: 1, CommitTS: hlc.New(7, 0)}); got != 64 {
+		t.Errorf("ApproxSize(CohortCommit) = %d, want 64", got)
 	}
 }

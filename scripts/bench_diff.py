@@ -33,16 +33,12 @@ LOWER_IS_BETTER = {
     "read_single_allocs_per_op",
     "read_multi_allocs_per_op",
     "start_tx_allocs_per_op",
-    "encode_allocs_per_op",
     "codec_bytes_per_round_v2",
     "codec_bulk_bytes_v2",
     "repair_chunk_max_bytes",
     "gossip_idle_msgs_per_sec_delta",
 }
 HIGHER_IS_BETTER = {
-    "repl_msgs_per_op_reduction",
-    "codec_bytes_reduction",
-    "codec_bulk_bytes_reduction",
     "gossip_idle_reduction",
 }
 
